@@ -77,7 +77,7 @@ func TestPublicAPIDistributed(t *testing.T) {
 			return err
 		}
 		x, y := block.XY()
-		res, err := uoivar.FitLassoDistributed(c, x, y, &uoivar.LassoConfig{B1: 6, B2: 3, Q: 6, Seed: 4}, uoivar.Grid{})
+		res, err := uoivar.FitLassoDistributed(c, x, y, &uoivar.LassoConfig{B1: 6, B2: 3, Q: 6, Seed: 4}, uoivar.GridShape{})
 		if err != nil {
 			return err
 		}

@@ -190,7 +190,7 @@ func main() {
 			err := mpi.Run(ranks, func(c *mpi.Comm) error {
 				lo, hi := admm.RowBlock(reg.X.Rows, c.Size(), c.Rank())
 				_, err := uoi.LassoDistributed(c, reg.X.SubRows(lo, hi), reg.Y[lo:hi],
-					cfg(nil), uoi.Grid{PB: 1, PLambda: 1})
+					cfg(nil), uoi.GridShape{PB: 1, PL: 1})
 				return err
 			})
 			if err != nil {
@@ -199,9 +199,10 @@ func main() {
 		}
 	})
 
-	// Checkpointed engine (DESIGN.md §11): replicated data, durable cells,
-	// a fresh checkpoint file per iteration. The delta vs lasso-serial is
-	// the whole-fit cost of durability at the default save cadence.
+	// Checkpointed grid fit (DESIGN.md §11) at ranks x 1: replicated data,
+	// durable cells, a fresh checkpoint file per iteration. The delta vs
+	// lasso-serial is the whole-fit cost of durability at the default save
+	// cadence.
 	ckptDir, err := os.MkdirTemp("", "benchjson-ckpt")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
@@ -215,7 +216,7 @@ func main() {
 			err := mpi.Run(ranks, func(c *mpi.Comm) error {
 				ccfg := cfg(nil)
 				ccfg.Checkpoint = &uoi.CheckpointConfig{Path: path}
-				_, err := uoi.LassoCheckpointedDistributed(c, reg.X, reg.Y, ccfg)
+				_, err := uoi.LassoGrid(c, reg.X, reg.Y, ccfg, uoi.GridOptions{Shape: uoi.GridShape{PB: ranks, PL: 1}})
 				return err
 			})
 			if err != nil {
@@ -246,7 +247,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	// ---- stream: warm-vs-cold refit + ingest throughput ----
+	// ---- stream: ingest throughput ----
 
 	if err := benchStream(report, *short); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"testing"
 	"time"
 
 	"uoivar/internal/model"
@@ -21,11 +20,8 @@ import (
 	"uoivar/internal/varsim"
 )
 
-// benchStream measures the streaming layer: the warm-vs-cold refit pair
-// (Result rows — same window, same config, one seeded by the previous
-// model's coefficients, one from zero; the gap is what warm starts buy a
-// sliding-window refit) and closed-loop ingest throughput through the HTTP
-// server (ServingResult row).
+// benchStream measures the streaming layer's closed-loop ingest throughput
+// through the HTTP server (ServingResult row).
 func benchStream(report *Report, short bool) error {
 	p, n := 8, 420
 	b1, b2, q := 6, 4, 5
@@ -36,41 +32,8 @@ func benchStream(report *Report, short bool) error {
 	rng := resample.NewRNG(31)
 	vm := varsim.GenerateStable(rng, p, 1, nil)
 	long := vm.Simulate(rng.Derive(1), n, 60)
-	slide := n / 8
-	w1 := long.SubRows(0, n-slide)
-	w2 := long.SubRows(slide, n)
+	w1 := long.SubRows(0, n-n/8)
 	base := &uoi.VARConfig{Order: 1, B1: b1, B2: b2, Q: q, Seed: 23}
-	prev, err := uoi.VAR(w1, base)
-	if err != nil {
-		return err
-	}
-
-	var coldIters, warmIters int
-	report.bench("stream/refit-cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			cfg := *base
-			res, err := uoi.VAR(w2, &cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			coldIters = res.Diag.ADMMIters
-		}
-	})
-	report.bench("stream/refit-warm", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			cfg := *base
-			cfg.WarmBeta = prev.Beta
-			res, err := uoi.VAR(w2, &cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			warmIters = res.Diag.ADMMIters
-		}
-	})
-	fmt.Fprintf(os.Stderr, "%-40s cold %d → warm %d ADMM iterations\n",
-		"stream/refit-warm-vs-cold", coldIters, warmIters)
 
 	// Ingest throughput: closed-loop POST /v1/ingest at fixed concurrency,
 	// refits off (cadence 0) so the row isolates the buffered-append path —

@@ -95,8 +95,9 @@ func TestExitCodeResumeMissingAndCorrupt(t *testing.T) {
 }
 
 // TestExitCodeCheckpointRoundTrip drives the documented workflow through
-// the real CLI: fit with -checkpoint on 2 ranks, then -resume on 1 rank;
-// both exit 0 and both write the same model artifact.
+// the real CLI: fit with -checkpoint on 2 ranks, then -resume on 1 rank,
+// then -resume on a -grid 2x1; every run exits 0 and writes the same model
+// artifact.
 func TestExitCodeCheckpointRoundTrip(t *testing.T) {
 	data := writeTestRegression(t)
 	dir := t.TempDir()
@@ -114,20 +115,28 @@ func TestExitCodeCheckpointRoundTrip(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("resumed fit: exit %d\n%s", code, out)
 	}
+	m3 := filepath.Join(dir, "c"+model.Ext)
+	code, out = uoifit(t, "-algo", "lasso", "-data", data, "-grid", "2x1",
+		"-b1", "4", "-b2", "2", "-q", "4", "-checkpoint", ckpt, "-resume", "-model-out", m3)
+	if code != 0 {
+		t.Fatalf("grid resumed fit: exit %d\n%s", code, out)
+	}
 	a, err := model.Load(m1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := model.Load(m2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Beta) != len(b.Beta) {
-		t.Fatalf("artifact sizes differ: %d vs %d", len(a.Beta), len(b.Beta))
-	}
-	for i := range a.Beta {
-		if a.Beta[i] != b.Beta[i] {
-			t.Fatalf("resumed artifact differs at coefficient %d", i)
+	for _, m := range []string{m2, m3} {
+		b, err := model.Load(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a.Beta) != len(b.Beta) {
+			t.Fatalf("%s: artifact sizes differ: %d vs %d", m, len(a.Beta), len(b.Beta))
+		}
+		for i := range a.Beta {
+			if a.Beta[i] != b.Beta[i] {
+				t.Fatalf("%s: resumed artifact differs at coefficient %d", m, i)
+			}
 		}
 	}
 }

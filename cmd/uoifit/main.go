@@ -27,14 +27,14 @@
 //
 // Checkpoint/restart for long fits:
 //
-//	uoifit -algo var -data series.hbf -ranks 8 -checkpoint fit.uoickpt
-//	uoifit -algo var -data series.hbf -ranks 2 -checkpoint fit.uoickpt -resume
+//	uoifit -algo var -data series.hbf -grid 4x2 -checkpoint fit.uoickpt
+//	uoifit -algo var -data series.hbf -grid 2x1 -checkpoint fit.uoickpt -resume
 //
 // the first run writes every completed bootstrap cell durably (rank 0,
 // atomic rename, cadence -ckpt-every); after a crash the second run skips
 // the recorded cells, re-shards the rest across the new — here smaller —
-// rank count, and produces coefficients bit-identical to an uninterrupted
-// run. A missing, corrupt, or foreign checkpoint fails -resume with a typed
+// grid, and produces coefficients bit-identical to an uninterrupted run.
+// -checkpoint without -grid runs on a <ranks>x1 grid. A missing, corrupt, or foreign checkpoint fails -resume with a typed
 // error.
 //
 // Performance observability:
@@ -134,12 +134,12 @@ type options struct {
 	// Checkpoint, when non-empty, runs the fit in checkpointed mode:
 	// completed bootstrap cells are written durably to this path (rank 0,
 	// atomic) so a killed fit can restart with -resume. Checkpointed fits
-	// replicate the full dataset on every rank and shard bootstraps, so the
-	// result is bit-identical to a serial fit at any -ranks.
+	// run on the -grid shape (or <ranks>x1 without -grid), so the result is
+	// bit-identical to a serial fit at any shape.
 	Checkpoint string
 	// Resume loads -checkpoint before fitting and skips recorded cells; the
-	// resumed run may use a different (e.g. smaller) -ranks than the
-	// original. A missing, corrupt, or foreign checkpoint fails with a
+	// resumed run may use a different (e.g. smaller) -grid or -ranks than
+	// the original. A missing, corrupt, or foreign checkpoint fails with a
 	// typed error.
 	Resume bool
 	// CkptEvery is the checkpoint save cadence in completed cells.
@@ -159,11 +159,11 @@ type options struct {
 	GridCollectives string
 }
 
-// gridShape parses -grid (empty shape when the flag is unset) and validates
-// -grid-collectives.
+// gridShape parses -grid and validates -grid-collectives. Without -grid, a
+// checkpointed fit runs on a <ranks>x1 grid and any other fit on none.
 func (o *options) gridShape() (uoi.GridShape, bool, error) {
 	if o.Grid == "" {
-		return uoi.GridShape{}, false, nil
+		return uoi.GridShape{PB: o.Ranks, PL: 1}, o.Checkpoint != "", nil
 	}
 	shape, err := uoi.ParseGridShape(o.Grid)
 	if err != nil {
@@ -173,9 +173,6 @@ func (o *options) gridShape() (uoi.GridShape, bool, error) {
 	case "", "tree", "flat":
 	default:
 		return shape, false, fmt.Errorf("unknown -grid-collectives %q (tree | flat)", o.GridCollectives)
-	}
-	if o.Checkpoint != "" {
-		return shape, false, fmt.Errorf("-grid and -checkpoint are mutually exclusive (grid fits do not checkpoint)")
 	}
 	return shape, true, nil
 }
@@ -476,16 +473,16 @@ func runLasso(o *options) error {
 	if err := perf.serve(); err != nil {
 		return err
 	}
-	// Checkpointed and grid fits replicate the full dataset on every rank
-	// (the P_B bootstrap-sharding axis) so every cell is rank-independent;
-	// the usual path shards rows with distio and runs consensus ADMM.
+	// Grid (and checkpointed) fits replicate the full dataset on every rank
+	// so every cell is rank-independent; the usual path shards rows with
+	// distio and runs consensus ADMM.
 	shape, gridOn, err := o.gridShape()
 	if err != nil {
 		return err
 	}
 	var xFull *mat.Dense
 	var yFull []float64
-	if o.Checkpoint != "" || gridOn {
+	if gridOn {
 		var err error
 		xFull, yFull, err = readRegression(o.Data)
 		if err != nil {
@@ -500,13 +497,8 @@ func runLasso(o *options) error {
 		if gridOn {
 			res, err = uoi.LassoGrid(c, xFull, yFull, &uoi.LassoConfig{
 				B1: o.B1, B2: o.B2, Q: o.Q, LambdaRatio: o.Ratio, Seed: o.Seed,
-				KernelWorkers: o.KernelWorkers, Trace: tr,
-			}, uoi.GridOptions{Shape: shape, FlatCollectives: o.GridCollectives == "flat"})
-		} else if o.Checkpoint != "" {
-			res, err = uoi.LassoCheckpointedDistributed(c, xFull, yFull, &uoi.LassoConfig{
-				B1: o.B1, B2: o.B2, Q: o.Q, LambdaRatio: o.Ratio, Seed: o.Seed,
 				KernelWorkers: o.KernelWorkers, Trace: tr, Checkpoint: o.ckpt(),
-			})
+			}, uoi.GridOptions{Shape: shape, FlatCollectives: o.GridCollectives == "flat"})
 		} else {
 			var block *distio.Block
 			switch o.Dist {
@@ -524,7 +516,7 @@ func runLasso(o *options) error {
 			res, err = uoi.LassoDistributed(c, x, y, &uoi.LassoConfig{
 				B1: o.B1, B2: o.B2, Q: o.Q, LambdaRatio: o.Ratio, Seed: o.Seed,
 				KernelWorkers: o.KernelWorkers, Trace: tr,
-			}, uoi.Grid{PB: o.PB, PLambda: o.PL})
+			}, uoi.GridShape{PB: o.PB, PL: o.PL})
 		}
 		if err != nil {
 			return err
@@ -571,7 +563,7 @@ func saveModel(path string, art *model.Artifact) error {
 }
 
 // readRegression reads a full [X|y] HBF file (response = last column) into
-// memory — the replicated-data path used by checkpointed fits and the
+// memory — the replicated-data path used by grid fits and the
 // serial baselines.
 func readRegression(data string) (*mat.Dense, []float64, error) {
 	f, err := hbf.Open(data)
@@ -629,19 +621,12 @@ func runVAR(o *options) error {
 		var res *uoi.VARResult
 		var err error
 		if gridOn {
-			// Grid VAR replicates the series on every rank (like the
-			// checkpointed path) and shards cells over the 2-D grid.
+			// Grid VAR replicates the series on every rank and shards cells
+			// over the 2-D grid.
 			res, err = uoi.VARGrid(c, series, &uoi.VARConfig{
 				Order: o.Order, B1: o.B1, B2: o.B2, Q: o.Q, LambdaRatio: o.Ratio, Seed: o.Seed,
-				KernelWorkers: o.KernelWorkers, Trace: tr,
-			}, uoi.GridOptions{Shape: shape, FlatCollectives: o.GridCollectives == "flat"})
-		} else if o.Checkpoint != "" {
-			// Checkpointed VAR replicates the series on every rank and shards
-			// bootstraps (bit-identical to the serial fit at any rank count).
-			res, err = uoi.VARCheckpointedDistributed(c, series, &uoi.VARConfig{
-				Order: o.Order, B1: o.B1, B2: o.B2, Q: o.Q, LambdaRatio: o.Ratio, Seed: o.Seed,
 				KernelWorkers: o.KernelWorkers, Trace: tr, Checkpoint: o.ckpt(),
-			})
+			}, uoi.GridOptions{Shape: shape, FlatCollectives: o.GridCollectives == "flat"})
 		} else {
 			var s *mat.Dense
 			if c.Rank() < readers {

@@ -30,11 +30,11 @@
 //	                         the model's sliding window (-window rows, or the
 //	                         effective window of -forget); every -refit-every
 //	                         rows a background refit re-runs the model's
-//	                         recorded UoI-VAR recipe on the window — warm-
-//	                         started from the previous model and reusing
-//	                         unchanged bootstrap cells — and hot-swaps the
-//	                         result into the registry (version bumps, old
-//	                         model serves until the instant of the swap)
+//	                         recorded UoI-VAR recipe on the window —
+//	                         reusing unchanged bootstrap cells — and
+//	                         hot-swaps the result into the registry
+//	                         (version bumps, old model serves until the
+//	                         instant of the swap)
 //	GET  /v1/stream/status — per-model window fill, refit counts/latency, and
 //	                         last error
 //

@@ -36,7 +36,7 @@ func TestPipelineLassoFromFile(t *testing.T) {
 			return err
 		}
 		x, y := block.XY()
-		res, err := uoi.LassoDistributed(c, x, y, &uoi.LassoConfig{B1: 10, B2: 5, Q: 10, LambdaRatio: 1e-2, Seed: 9}, uoi.Grid{})
+		res, err := uoi.LassoDistributed(c, x, y, &uoi.LassoConfig{B1: 10, B2: 5, Q: 10, LambdaRatio: 1e-2, Seed: 9}, uoi.GridShape{})
 		if err != nil {
 			return err
 		}
@@ -81,7 +81,7 @@ func TestPipelineLassoRankInvariance(t *testing.T) {
 				return err
 			}
 			x, y := block.XY()
-			res, err := uoi.LassoDistributed(c, x, y, &uoi.LassoConfig{B1: 8, B2: 4, Q: 8, LambdaRatio: 1e-2, Seed: 3}, uoi.Grid{})
+			res, err := uoi.LassoDistributed(c, x, y, &uoi.LassoConfig{B1: 8, B2: 4, Q: 8, LambdaRatio: 1e-2, Seed: 3}, uoi.GridShape{})
 			if err != nil {
 				return err
 			}
@@ -246,7 +246,7 @@ func TestPipelineTwoPhaseReshuffle(t *testing.T) {
 		xs, ys := selBlock.XY()
 		xe, ye := estBlock.XY()
 		res, err := uoi.LassoDistributedPhases(c, xs, ys, xe, ye,
-			&uoi.LassoConfig{B1: 8, B2: 4, Q: 8, LambdaRatio: 1e-2, Seed: 12}, uoi.Grid{})
+			&uoi.LassoConfig{B1: 8, B2: 4, Q: 8, LambdaRatio: 1e-2, Seed: 12}, uoi.GridShape{})
 		if err != nil {
 			return err
 		}

@@ -182,7 +182,7 @@ func fig2Mini(w io.Writer) error {
 			return err
 		}
 		x, y := block.XY()
-		res, err := uoi.LassoDistributed(c, x, y, &uoi.LassoConfig{B1: 5, B2: 5, Q: 8, Seed: 1}, uoi.Grid{})
+		res, err := uoi.LassoDistributed(c, x, y, &uoi.LassoConfig{B1: 5, B2: 5, Q: 8, Seed: 1}, uoi.GridShape{})
 		if err != nil {
 			return err
 		}

@@ -68,7 +68,7 @@ type StreamStatus struct {
 	// stuck one (running for many multiples of it).
 	RefitRunningMs float64 `json:"refit_running_ms,omitempty"`
 	// LastRefitIters is the ADMM iteration total of the last refit — the
-	// number warm starts drive down.
+	// number cell reuse drives down.
 	LastRefitIters int `json:"last_refit_iters,omitempty"`
 	// CellsReused counts bootstrap cells skipped via the content-hash cell
 	// cache across the stream's lifetime.

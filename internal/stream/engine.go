@@ -30,8 +30,8 @@ type Config struct {
 	// Registry receives each refreshed model via its hot-swap path.
 	Registry *serve.Registry
 	// Base is the fit configuration every refit runs with (order, B1/B2,
-	// λ grid, seed, workers). The engine owns the WarmBeta, Cells, Trace,
-	// and Checkpoint fields; values set there are overwritten.
+	// λ grid, seed, workers). The engine owns the Cells, Trace, Anchored,
+	// Anchor and Checkpoint fields; values set there are overwritten.
 	Base uoi.VARConfig
 	// Window caps the sliding window in rows (default 512).
 	Window int
@@ -51,23 +51,18 @@ type Config struct {
 	// atomically-written .uoim file before registry publication, keeping
 	// the on-disk artifact (and /v1/reload) coherent with what serves.
 	ArtifactPath string
-	// NoWarm disables the warm start and cell cache: every refit runs
-	// cold. The published bits are identical either way (warm starts only
-	// change the work done); this exists for the warm-vs-cold bench.
-	NoWarm bool
 	// Tracer, when non-nil, receives stream/* spans and counters.
 	Tracer *trace.Tracer
 	// Metrics, when non-nil, receives the engine's uoivar_stream_* telemetry
-	// families (window fill, refit durations and outcomes, warm-start
-	// savings, cell-cache hit ratio), labeled by model name.
+	// families (window fill, refit durations and outcomes, cell-cache hit
+	// ratio), labeled by model name.
 	Metrics *telemetry.Registry
 }
 
 // Engine ingests observations for one model and keeps its served artifact
 // fresh: appended rows accumulate in a sliding window, every RefitEvery
 // rows a single-flight background refit re-runs UoI-VAR on the window —
-// warm-started from the previous model and skipping content-hash-unchanged
-// bootstrap cells — and the result is published atomically into the
+// skipping content-hash-unchanged bootstrap cells — and the result is published atomically into the
 // registry (bumping the model's version) while the old model serves
 // uninterrupted.
 type Engine struct {
@@ -84,14 +79,12 @@ type Engine struct {
 	fitMu sync.Mutex
 
 	mu          sync.Mutex
-	prevBeta    []float64
 	refits      int64
 	running     bool
 	pending     bool
 	lastErr     error
 	lastMs      float64
 	lastIters   int
-	coldIters   int
 	lastSeries  *mat.Dense
 	lastCfg     uoi.VARConfig
 	fittedTotal int64
@@ -236,25 +229,19 @@ func (e *Engine) refit() error {
 	spSnap.End()
 	e.mu.Lock()
 	e.fittedTotal = snapTotal
-	warm := e.prevBeta
 	e.mu.Unlock()
 	if snap.Rows < e.minRows {
 		return fmt.Errorf("%w: %d < %d", ErrNotReady, snap.Rows, e.minRows)
 	}
 
-	// The fit input is exactly (window, cfg): WarmBeta and the cell cache
-	// ride inside cfg, so a cold uoi.VAR with this cfg on this window
+	// The fit input is exactly (window, cfg): the cell cache is only an
+	// execution hint, so a cache-less uoi.VAR with this cfg on this window
 	// reproduces the published bits exactly.
 	cfg := e.cfg.Base
 	cfg.Trace = e.tr
 	cfg.Checkpoint = nil
-	cfg.WarmBeta = nil
-	cfg.Cells = nil
-	if !e.cfg.NoWarm {
-		cfg.WarmBeta = warm
-		e.cache.Rotate()
-		cfg.Cells = e.cache
-	}
+	e.cache.Rotate()
+	cfg.Cells = e.cache
 	// Anchor the selection bootstraps at absolute stream coordinates so a
 	// refit after a small slide (one that crosses no block-grid boundary)
 	// draws the same rows and its selection cells hit the cache. The guard
@@ -304,22 +291,15 @@ func (e *Engine) refit() error {
 	e.tr.Add("stream/refits", 1)
 
 	e.mu.Lock()
-	e.prevBeta = res.Beta
 	e.refits++
 	e.lastErr = nil
 	e.lastMs = float64(time.Since(t0).Nanoseconds()) / 1e6
 	e.lastIters = res.Diag.ADMMIters
-	if e.coldIters == 0 {
-		// The first refit has no previous β to warm from; its iteration
-		// count is the cold baseline later refits are measured against.
-		e.coldIters = res.Diag.ADMMIters
-	}
-	coldIters := e.coldIters
 	e.lastSeries = snap
 	e.lastCfg = cfg
 	e.mu.Unlock()
 	hits, misses := e.cache.Stats()
-	e.metrics.observeRefit(e.cfg.Name, time.Since(t0).Seconds(), res.Diag.ADMMIters, coldIters, hits, misses)
+	e.metrics.observeRefit(e.cfg.Name, time.Since(t0).Seconds(), res.Diag.ADMMIters, hits, misses)
 	e.metrics.observeWindow(e.cfg.Name, e.buf.Len())
 	return nil
 }

@@ -29,8 +29,6 @@ type Options struct {
 	MinRows int
 	// Workers bounds each refit's fit parallelism (0 = serial).
 	Workers int
-	// NoWarm disables warm starts and the cell cache (bench comparison).
-	NoWarm bool
 	// Tracer, when non-nil, receives stream/* spans and counters.
 	Tracer *trace.Tracer
 	// Metrics, when non-nil, receives every engine's uoivar_stream_*
@@ -78,7 +76,6 @@ func (m *Manager) engineFor(name string) (*Engine, error) {
 		RefitEvery:   m.opts.RefitEvery,
 		MinRows:      m.opts.MinRows,
 		ArtifactPath: entry.Path,
-		NoWarm:       m.opts.NoWarm,
 		Tracer:       m.opts.Tracer,
 		Metrics:      m.opts.Metrics,
 	})

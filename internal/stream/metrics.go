@@ -19,8 +19,6 @@ var streamRefitBuckets = telemetry.LogBuckets(1e-3, 2, 21)
 //	uoivar_stream_refits_total{model}           — published refits
 //	uoivar_stream_refit_errors_total{model}     — failed refits
 //	uoivar_stream_refit_iters{model}            — last refit's ADMM iterations
-//	uoivar_stream_warm_iters_saved_total{model} — ADMM iterations avoided vs
-//	                                              the first (cold) refit
 //	uoivar_stream_cell_hit_ratio{model}         — cumulative cell-cache hit ratio
 //
 // Gauges are updated eagerly (at ingest and refit time) rather than via
@@ -33,7 +31,6 @@ type streamMetrics struct {
 	refits     *telemetry.CounterVec
 	refitErrs  *telemetry.CounterVec
 	refitIters *telemetry.GaugeVec
-	itersSaved *telemetry.CounterVec
 	cellRatio  *telemetry.GaugeVec
 }
 
@@ -52,8 +49,6 @@ func newStreamMetrics(reg *telemetry.Registry) *streamMetrics {
 			"Streaming refits that failed (fit, save, or publish).", "model"),
 		refitIters: reg.Gauge("uoivar_stream_refit_iters",
 			"ADMM iterations spent by the last successful refit.", "model"),
-		itersSaved: reg.Counter("uoivar_stream_warm_iters_saved_total",
-			"ADMM iterations avoided relative to the model's first, cold refit.", "model"),
 		cellRatio: reg.Gauge("uoivar_stream_cell_hit_ratio",
 			"Cumulative bootstrap-cell cache hit ratio (hits / lookups).", "model"),
 	}
@@ -71,20 +66,14 @@ func (m *streamMetrics) observeRefitError(model string) {
 	}
 }
 
-// observeRefit records one successful refit. coldIters is the iteration
-// count of the model's first refit (the cold baseline); iterations saved is
-// the shortfall of this refit against it, clamped at zero so a later,
-// harder window never "un-saves" work.
-func (m *streamMetrics) observeRefit(model string, seconds float64, iters, coldIters int, hits, misses int64) {
+// observeRefit records one successful refit.
+func (m *streamMetrics) observeRefit(model string, seconds float64, iters int, hits, misses int64) {
 	if m == nil {
 		return
 	}
 	m.refitSec.With(model).Observe(seconds)
 	m.refits.With(model).Inc()
 	m.refitIters.With(model).Set(float64(iters))
-	if saved := coldIters - iters; saved > 0 {
-		m.itersSaved.With(model).Add(float64(saved))
-	}
 	if total := hits + misses; total > 0 {
 		m.cellRatio.With(model).Set(float64(hits) / float64(total))
 	}

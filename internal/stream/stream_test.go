@@ -46,11 +46,11 @@ func rowsOf(series *mat.Dense, lo, hi int) [][]float64 {
 	return out
 }
 
-// TestWarmRefitBitIdentity is the tentpole's correctness proof: after
-// ingesting and refitting twice (so the second refit is genuinely warm —
-// seeded by the first refit's model and drawing on its cell cache), the
-// published artifact must be byte-for-byte the artifact a cold uoi.VAR fit
-// on the same window with the same config produces.
+// TestWarmRefitBitIdentity is the engine's correctness proof: after
+// ingesting and refitting twice (so the second refit draws on the first
+// refit's cell cache), the published artifact must be byte-for-byte the
+// artifact a cold uoi.VAR fit on the same window with the same config
+// produces.
 func TestWarmRefitBitIdentity(t *testing.T) {
 	reg, long, base := seedModel(t, "net", 400, 200)
 	e, err := NewEngine(Config{
@@ -66,7 +66,7 @@ func TestWarmRefitBitIdentity(t *testing.T) {
 	if _, err := e.RefitNow(); err != nil {
 		t.Fatal(err)
 	}
-	// Slide the window and refit warm.
+	// Slide the window and refit.
 	if _, err := e.Ingest(rowsOf(long, 200, 260)); err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +82,8 @@ func TestWarmRefitBitIdentity(t *testing.T) {
 	if window == nil {
 		t.Fatal("LastFit returned no window")
 	}
-	if len(cfg.WarmBeta) == 0 {
-		t.Fatal("second refit carried no warm seed")
-	}
 	cold := cfg
-	cold.Cells = nil // drop the execution hint; WarmBeta stays — it is fit input
+	cold.Cells = nil // drop the execution hint
 	cold.Trace = nil
 	res, err := uoi.VAR(window, &cold)
 	if err != nil {
@@ -159,45 +156,57 @@ func TestEngineWindowSlideAndCadence(t *testing.T) {
 	}
 }
 
-// TestEngineCellReuseAcrossSlide: overlapping windows must reuse cells and
-// warm starts must cut ADMM iterations versus a cold engine fed identically.
+// TestEngineCellReuseAcrossSlide: with an explicit λ grid, a refit after a
+// small slide (one that crosses no anchored block boundary) reuses every
+// selection cell — zero selection solves — and still publishes exactly
+// what a cold uoi.VAR fit on the slid window produces.
 func TestEngineCellReuseAcrossSlide(t *testing.T) {
-	run := func(noWarm bool) (serve.StreamStatus, int) {
-		reg, long, base := seedModel(t, "net", 400, 200)
-		e, err := NewEngine(Config{
-			Name: "net", Registry: reg, Base: *base,
-			Window: 200, MinRows: 40, NoWarm: noWarm, Tracer: trace.New(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Ingest(rowsOf(long, 0, 200)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.RefitNow(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Ingest(rowsOf(long, 200, 220)); err != nil {
-			t.Fatal(err)
-		}
-		st, err := e.RefitNow()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st, st.LastRefitIters
+	reg, long, base := seedModel(t, "net", 400, 200)
+	base.Lambdas = []float64{0.4, 0.2, 0.1, 0.05}
+	tr := trace.New()
+	e, err := NewEngine(Config{
+		Name: "net", Registry: reg, Base: *base,
+		Window: 200, MinRows: 40, Tracer: tr,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	warmSt, warmIters := run(false)
-	coldSt, coldIters := run(true)
-	if warmIters >= coldIters {
-		t.Fatalf("warm second refit used %d ADMM iterations, cold used %d — warm start saved nothing",
-			warmIters, coldIters)
+	if _, err := e.Ingest(rowsOf(long, 0, 200)); err != nil {
+		t.Fatal(err)
 	}
-	if coldSt.CellsReused != 0 {
-		t.Fatalf("NoWarm engine reused %d cells, want 0", coldSt.CellsReused)
+	if _, err := e.RefitNow(); err != nil {
+		t.Fatal(err)
 	}
-	_ = warmSt
-	t.Logf("second-refit ADMM iterations: cold=%d warm=%d (cells reused: %d)",
-		coldIters, warmIters, warmSt.CellsReused)
+	if _, err := e.Ingest(rowsOf(long, 200, 207)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := e.RefitNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Counters()["uoi/sel_cells_reused"]; got != int64(base.B1) {
+		t.Fatalf("slid refit reused %d selection cells, want all %d (cells reused: %d)", got, base.B1, st.CellsReused)
+	}
+	window, cfg := e.LastFit()
+	cold := cfg
+	cold.Cells = nil
+	cold.Trace = nil
+	res, err := uoi.VAR(window, &cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := model.FromVAR(res, &cold).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := reg.Get("net").Artifact.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("cell-reusing refit differs from the cold fit on the slid window")
+	}
+	t.Logf("slid refit: ADMM iterations %d (cold %d), cells reused %d", st.LastRefitIters, res.Diag.ADMMIters, st.CellsReused)
 }
 
 // TestEngineArtifactPathPersists: with ArtifactPath set, each refit saves an

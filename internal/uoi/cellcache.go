@@ -11,7 +11,7 @@ import (
 // CellCache memoizes completed VAR bootstrap cells across fits. Keys are
 // content hashes over every input that determines the cell's output — the
 // cell index and resampling geometry, the solver configuration, the λ grid,
-// the warm-start seed, and the content sequence of exactly the series rows
+// and the content sequence of exactly the series rows
 // the cell's bootstrap touches, in touch order — so a hit is only possible
 // when recomputation would reproduce the identical bits. Keys are
 // index-invariant: they hash what the bootstrap reads, not where in the
@@ -150,8 +150,8 @@ func hashTargetRows(h *checkpoint.Hasher, series *mat.Dense, targets []int, d in
 }
 
 // selCellKey hashes every input of varSelCell k: cell identity and
-// resampling geometry, solver tolerances, the λ grid, the warm-start seed,
-// and the touched series rows.
+// resampling geometry, solver tolerances, the λ grid, and the touched
+// series rows.
 func selCellKey(series *mat.Dense, k, m, blockLen int, lambdas []float64, c *VARConfig) uint64 {
 	h := checkpoint.NewHasher()
 	h.AddUint64(1) // cell kind: selection
@@ -172,7 +172,6 @@ func selCellKey(series *mat.Dense, k, m, blockLen int, lambdas []float64, c *VAR
 	h.AddFloat(c.L2)
 	h.AddFloat(c.SupportTol)
 	h.AddFloats(lambdas)
-	h.AddFloats(c.WarmBeta)
 	targets := varSelTargets(resample.NewRNG(c.Seed), k, m, blockLen, c)
 	hashTargetRows(h, series, targets, c.Order)
 	return h.Sum()

@@ -22,29 +22,19 @@ import (
 // UoI embarrassingly parallel and, in checkpointed execution, independently
 // resumable: a checkpoint is just the union of completed cells.
 //
-// The serial algorithms (uoi.go, var.go) and the checkpointed engine
-// (checkpointed.go) share these bodies, so a resumed cell reproduces the
-// original bit for bit.
+// The cell scheduler (sched.go) runs these bodies for every serial, grid
+// and checkpointed fit, so a resumed cell reproduces the original bit for
+// bit.
 
-// lassoSelCell runs selection bootstrap k of UoI_LASSO: resample, factorize
-// once, sweep the λ path with warm starts, and return the support
-// indicators flattened as sup[j·p+i] for λ index j and feature i.
-func lassoSelCell(x *mat.Dense, y []float64, root *resample.RNG, k int, lambdas []float64, c *LassoConfig, kw int, tr *trace.Tracer) (sup []bool, fits, iters int, err error) {
-	sup, _, _, fits, iters, err = lassoSelCellRange(x, y, root, k, lambdas, 0, len(lambdas), nil, c, kw, tr)
-	return sup, fits, iters, err
-}
-
-// lassoSelCellRange is the λ-block body shared by the serial cell (full
-// range, cold start) and the 2-D grid engine (contiguous λ block [jLo, jHi)
-// per grid column, warm-started from the neighboring column). warm, when
-// non-nil, is invoked after the factorization succeeds and supplies the
-// (z, u) pair the serial sweep would have carried into λ index jLo — the
-// grid's cross-column pipeline handoff. Because serial and grid runs share
-// this one code path, a grid fit continues the exact serial warm-start
-// chain and its supports are bit-identical to serial by construction.
-// lastZ/lastU return the chain state after λ index jHi−1, for forwarding to
-// the next column. sup is the block-local flattening sup[(j−jLo)·p+i].
-func lassoSelCellRange(x *mat.Dense, y []float64, root *resample.RNG, k int, lambdas []float64, jLo, jHi int, warm func() (z, u []float64), c *LassoConfig, kw int, tr *trace.Tracer) (sup []bool, lastZ, lastU []float64, fits, iters int, err error) {
+// lassoSelCell runs selection bootstrap k of UoI_LASSO over the contiguous
+// λ block [jLo, jHi): resample, factorize once, sweep the block with warm
+// starts, and return the support indicators flattened as
+// sup[(j−jLo)·p + i]. A serial fit sweeps the whole path (pipe == nil); a
+// grid column takes the (z, u) pair the serial sweep would carry into jLo
+// from pipe and forwards its last pair, so every solve sees the inputs the
+// serial sweep would give it and grid supports are bit-identical to
+// serial by construction.
+func lassoSelCell(x *mat.Dense, y []float64, root *resample.RNG, k int, lambdas []float64, jLo, jHi int, pipe *lamPipe, c *LassoConfig, kw int, tr *trace.Tracer) (sup []bool, fits, iters int, err error) {
 	n, p := x.Rows, x.Cols
 	rng := root.Derive(uint64(k) + 1)
 	idx := resample.Bootstrap(rng, n)
@@ -60,17 +50,14 @@ func lassoSelCellRange(x *mat.Dense, y []float64, root *resample.RNG, k int, lam
 		f, err = admm.NewFactorizationWorkers(xb, yb, c.ADMM.Rho, kw)
 	}
 	if err != nil {
-		return nil, nil, nil, 0, 0, fmt.Errorf("uoi: selection bootstrap %d: %w", k, err)
+		return nil, 0, 0, fmt.Errorf("uoi: selection bootstrap %d: %w", k, err)
 	}
 	tr.Add("admm/factorizations", 1)
 	sup = make([]bool, (jHi-jLo)*p)
 	// Warm-start each λ from its neighbor's (z, u) pair — carrying only z
 	// would restart the dual at zero every step and forfeit most of the
 	// saved iterations (Boyd §4.3's standard path warm start).
-	var warmZ, warmU []float64
-	if warm != nil {
-		warmZ, warmU = warm()
-	}
+	warmZ, warmU := pipe.warm(0)
 	for j := jLo; j < jHi; j++ {
 		opts := c.ADMM
 		opts.WarmZ, opts.WarmU = warmZ, warmU
@@ -85,7 +72,8 @@ func lassoSelCellRange(x *mat.Dense, y []float64, root *resample.RNG, k int, lam
 			}
 		}
 	}
-	return sup, warmZ, warmU, fits, iters, nil
+	pipe.emit(0, warmZ, warmU)
+	return sup, fits, iters, nil
 }
 
 // lassoEstCell runs estimation bootstrap k of UoI_LASSO: resample a
@@ -124,21 +112,6 @@ func lassoEstCell(x *mat.Dense, y []float64, root *resample.RNG, k int, distinct
 	return bestBeta, fits
 }
 
-// addSupportCounts folds one selection cell's support indicators
-// (flattened as sup[j·p+i]) into the per-(λ, feature) tally. Integer
-// addition is exactly order-independent, so the intersection is identical
-// at any worker or rank count and regardless of resume order.
-func addSupportCounts(counts [][]int, sup []bool, p int) {
-	for j := range counts {
-		row := sup[j*p : (j+1)*p]
-		for i, v := range row {
-			if v {
-				counts[j][i]++
-			}
-		}
-	}
-}
-
 // varSelTargets derives selection bootstrap k's design-row targets (window
 // row indices in [d, d+m)): window-relative moving blocks by default, or
 // grid blocks at absolute stream coordinates when c.Anchored. Shared by the
@@ -159,26 +132,14 @@ func varSelTargets(root *resample.RNG, k, m, blockLen int, c *VARConfig) []int {
 	return targets
 }
 
-// varSelCell runs selection bootstrap k of UoI_VAR: block-bootstrap target
-// rows, assemble the design, factorize once (shared across equations and
-// the λ path), and return the support indicators flattened as
-// sup[j·betaLen + eq·rowsB + i]. spPhase receives the kron_assembly child
-// span, mirroring the serial algorithm's trace shape.
-func varSelCell(series *mat.Dense, root *resample.RNG, k, m, blockLen int, lambdas []float64, c *VARConfig, kw int, tr *trace.Tracer, spPhase trace.Span) (sup []bool, fits, iters int, kron time.Duration, err error) {
-	return varSelCellRange(series, root, k, m, blockLen, lambdas, 0, len(lambdas), nil, nil, c, kw, tr, spPhase)
-}
-
-// varSelCellRange is the λ-block body shared by the serial VAR cell (full
-// range) and the 2-D grid engine (contiguous λ block [jLo, jHi) per grid
-// column). The warm-start chain is per equation, so the grid handoff is
-// per-equation too: warm(eq), when non-nil, supplies the (z, u) pair the
-// serial sweep would carry into λ index jLo of equation eq, and emit(eq),
-// when non-nil, receives the chain state after jHi−1 for forwarding to the
-// next column. warm/emit callers must not set c.WarmBeta (the seeded sweep
-// reverses the λ order, which would reverse the pipeline direction); the
-// grid engine rejects that combination up front. sup is the block-local
-// flattening sup[(j−jLo)·betaLen + eq·rowsB + i].
-func varSelCellRange(series *mat.Dense, root *resample.RNG, k, m, blockLen int, lambdas []float64, jLo, jHi int, warm func(eq int) (z, u []float64), emit func(eq int, z, u []float64), c *VARConfig, kw int, tr *trace.Tracer, spPhase trace.Span) (sup []bool, fits, iters int, kron time.Duration, err error) {
+// varSelCell runs selection bootstrap k of UoI_VAR over the λ block
+// [jLo, jHi): block-bootstrap target rows, assemble the design, factorize
+// once (shared across equations and the λ path), and return the support
+// indicators flattened as sup[(j−jLo)·betaLen + eq·rowsB + i]. The
+// warm-start chain is per equation, so the grid handoff is too: chain eq
+// enters from pipe.warm(eq) and leaves through pipe.emit(eq) (see
+// lassoSelCell). spPhase receives the kron_assembly child span.
+func varSelCell(series *mat.Dense, root *resample.RNG, k, m, blockLen int, lambdas []float64, jLo, jHi int, pipe *lamPipe, c *VARConfig, kw int, tr *trace.Tracer, spPhase trace.Span) (sup []bool, fits, iters int, kron time.Duration, err error) {
 	d := c.Order
 	p := series.Cols
 	targets := varSelTargets(root, k, m, blockLen, c)
@@ -203,36 +164,15 @@ func varSelCellRange(series *mat.Dense, root *resample.RNG, k, m, blockLen int, 
 	tr.Add("admm/factorizations", 1)
 	betaLen := rowsB * p
 	sup = make([]bool, (jHi-jLo)*betaLen)
-	// Sweep order: the λ grid is descending (λ_max first), where the cold
-	// solution starts near zero — the natural chain for zero starts. When a
-	// previous model seeds the sweep (c.WarmBeta, streaming refits), the
-	// seed approximates the *small*-λ solutions, so the sweep runs
-	// smallest-λ-first instead and chains (z, u) upward from there.
-	order := make([]int, jHi-jLo)
-	for i := range order {
-		order[i] = jLo + i
-	}
-	var prev []float64
-	if len(c.WarmBeta) == betaLen {
-		prev = c.WarmBeta
-		for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-			order[i], order[j] = order[j], order[i]
-		}
-	}
 	yCol := make([]float64, des.X.Rows)
 	for eq := 0; eq < p; eq++ {
 		des.Y.Col(eq, yCol)
 		aty := mat.AtVecWorkers(des.X, yCol, kw)
-		// Carry both halves of the warm start along the path; z alone
-		// restarts the dual from zero at every λ (see lassoSelCell).
-		var warmZ, warmU []float64
-		if prev != nil {
-			warmZ = prev[eq*rowsB : (eq+1)*rowsB]
-		}
-		if warm != nil {
-			warmZ, warmU = warm(eq)
-		}
-		for _, j := range order {
+		// The λ grid is descending (λ_max first), where the cold solution
+		// starts near zero; carry both halves of the warm start along the
+		// path — z alone restarts the dual from zero at every λ.
+		warmZ, warmU := pipe.warm(eq)
+		for j := jLo; j < jHi; j++ {
 			opts := c.ADMM
 			opts.WarmZ, opts.WarmU = warmZ, warmU
 			r := f.SolveRHS(aty, lambdas[j], &opts)
@@ -246,9 +186,7 @@ func varSelCellRange(series *mat.Dense, root *resample.RNG, k, m, blockLen int, 
 				}
 			}
 		}
-		if emit != nil {
-			emit(eq, warmZ, warmU)
-		}
+		pipe.emit(eq, warmZ, warmU)
 	}
 	return sup, fits, iters, kron, nil
 }

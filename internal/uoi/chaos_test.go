@@ -122,7 +122,7 @@ func TestDistributedQuorumDegradedFit(t *testing.T) {
 		fault.Event{Kind: fault.Bootstrap, Phase: "selection", K: 1},
 		fault.Event{Kind: fault.Bootstrap, Phase: "estimation", K: 0},
 	)
-	for _, grid := range []Grid{{1, 1}, {2, 1}, {2, 2}} {
+	for _, grid := range []GridShape{{1, 1}, {2, 1}, {2, 2}} {
 		results := make([]*Result, ranks)
 		err := runBounded(t, func() error {
 			return mpi.Run(ranks, func(c *mpi.Comm) error {
@@ -176,7 +176,7 @@ func TestDistributedQuorumNotMetIsCollectiveSafe(t *testing.T) {
 			_, err := LassoDistributed(c, xl, ys[c.Rank()], &LassoConfig{
 				B1: 4, B2: 3, Q: 4, Seed: 5,
 				MinBootstrapFrac: 0.5, BootstrapFault: plan.BootstrapFault,
-			}, Grid{2, 1})
+			}, GridShape{2, 1})
 			if !errors.Is(err, ErrQuorum) {
 				return fmt.Errorf("rank %d: err = %v, want ErrQuorum", c.Rank(), err)
 			}
@@ -222,7 +222,7 @@ func TestChaosSeededSchedules(t *testing.T) {
 					res, err := LassoDistributed(c, denseFromRows(xs[c.Rank()], x.Cols), ys[c.Rank()], &LassoConfig{
 						B1: 4, B2: 3, Q: 4, Seed: 9,
 						MinBootstrapFrac: 0.5, BootstrapFault: plan.BootstrapFault,
-					}, Grid{2, 1})
+					}, GridShape{2, 1})
 					if err != nil {
 						return err
 					}

@@ -201,7 +201,7 @@ func TestCheckpointedLassoDistributedMatchesSerial(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "fit.uoickpt")
 			betas := make([][]float64, ranks)
 			err := mpi.Run(ranks, func(c *mpi.Comm) error {
-				res, err := LassoCheckpointedDistributed(c, x, y, ckptLassoConfig(path))
+				res, err := LassoGrid(c, x, y, ckptLassoConfig(path), GridOptions{Shape: GridShape{PB: ranks, PL: 1}})
 				if err != nil {
 					return err
 				}
@@ -239,7 +239,7 @@ func TestCheckpointedVARMatchesSerialAndResumes(t *testing.T) {
 	cfg2 := *base
 	cfg2.Checkpoint = &CheckpointConfig{Path: path, Resume: true}
 	err = mpi.Run(2, func(c *mpi.Comm) error {
-		res, err := VARCheckpointedDistributed(c, series, &cfg2)
+		res, err := VARGrid(c, series, &cfg2, GridOptions{Shape: GridShape{PB: 2, PL: 1}})
 		if err != nil {
 			return err
 		}

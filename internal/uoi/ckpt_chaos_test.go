@@ -7,17 +7,23 @@ import (
 	"path/filepath"
 	"testing"
 
+	"uoivar/internal/checkpoint"
 	"uoivar/internal/fault"
 	"uoivar/internal/mpi"
 )
 
-// These chaos cases prove the checkpoint/restart tentpole end to end: a
-// seeded crash kills a distributed checkpointed fit at a bootstrap
-// boundary, and the resumed fit — on FEWER ranks than the original —
+// These chaos cases prove checkpoint/restart end to end: a seeded crash
+// kills a checkpointed grid fit at a bootstrap boundary, and the resumed fit — on FEWER ranks than the original —
 // produces coefficients bit-identical to an uninterrupted serial run. The
 // crash op index positions the failure at different rounds of the cell
 // engine, so the sweep covers crashes before the first save, mid-phase,
 // and between the selection and estimation phases.
+
+// gridSetupOps is the number of communication ops a grid fit spends on its
+// two row/column Splits before the first cell exchange. The crashOp
+// subtests below count exchanges after it, so crashOp=1 kills the second
+// exchange.
+const gridSetupOps = 6
 
 // crashThenResume runs phase 1 (ranks1 ranks, seeded crash) and phase 2
 // (ranks2 ranks, no faults, resuming the surviving checkpoint), returning
@@ -77,19 +83,20 @@ func TestCkptChaosCrashResumeFewerRanksLasso(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A 4-rank run of B1=6, B2=4 has three Allgather exchanges per rank
-	// (two selection rounds, one estimation round). Op 0 crashes at the
-	// first exchange (nothing saved yet); op 1 mid-selection; op 2 at the
-	// estimation exchange after selection is fully durable.
-	for _, crashOp := range []int{0, 1, 2} {
-		crashOp := crashOp
-		t.Run(fmt.Sprintf("crashOp=%d", crashOp), func(t *testing.T) {
+	// A 4-rank run of B1=6, B2=4 has three exchanges per rank after the
+	// grid setup (two selection rounds, one estimation round). Setup op 0
+	// crashes at the first exchange (nothing saved yet); op 1
+	// mid-selection; op 2 at the estimation exchange after selection is
+	// fully durable.
+	for _, op := range []int{0, 1, 2} {
+		crashOp := gridSetupOps + op
+		t.Run(fmt.Sprintf("crashOp=%d", op), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "fit.uoickpt")
 			betas := crashThenResume(t, path, 2, crashOp, 4, 2,
 				func(c *mpi.Comm, ck *CheckpointConfig) ([]float64, error) {
 					cfg := *base
 					cfg.Checkpoint = ck
-					res, err := LassoCheckpointedDistributed(c, x, y, &cfg)
+					res, err := LassoGrid(c, x, y, &cfg, GridOptions{Shape: GridShape{PB: c.Size(), PL: 1}})
 					if err != nil {
 						return nil, err
 					}
@@ -109,15 +116,15 @@ func TestCkptChaosCrashResumeFewerRanksVAR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, crashOp := range []int{1, 2} {
-		crashOp := crashOp
-		t.Run(fmt.Sprintf("crashOp=%d", crashOp), func(t *testing.T) {
+	for _, op := range []int{1, 2} {
+		crashOp := gridSetupOps + op
+		t.Run(fmt.Sprintf("crashOp=%d", op), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "var.uoickpt")
 			betas := crashThenResume(t, path, 1, crashOp, 3, 2,
 				func(c *mpi.Comm, ck *CheckpointConfig) ([]float64, error) {
 					cfg := *base
 					cfg.Checkpoint = ck
-					res, err := VARCheckpointedDistributed(c, series, &cfg)
+					res, err := VARGrid(c, series, &cfg, GridOptions{Shape: GridShape{PB: c.Size(), PL: 1}})
 					if err != nil {
 						return nil, err
 					}
@@ -142,10 +149,11 @@ func TestCkptChaosSweepAllBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 ranks × (2 selection rounds + 2 estimation rounds) = 4 exchanges
-	// per rank (0-based ops 0–3); sweeping to op 4 includes "crash scheduled
-	// after all work is done", where the fit simply completes.
-	for crashOp := 0; crashOp <= 4; crashOp++ {
+	// 2 ranks: the grid setup, then 2 selection rounds + 2 estimation
+	// rounds + the closing work-counter reduction = 11 ops per rank
+	// (0-based ops 0–10); sweeping to op 11 includes "crash scheduled after
+	// all work is done", where the fit simply completes.
+	for crashOp := 0; crashOp <= gridSetupOps+5; crashOp++ {
 		crashOp := crashOp
 		t.Run(fmt.Sprintf("crashOp=%d", crashOp), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "fit.uoickpt")
@@ -154,7 +162,7 @@ func TestCkptChaosSweepAllBoundaries(t *testing.T) {
 				return mpi.RunWithOptions(2, mpi.RunOptions{Fault: plan}, func(c *mpi.Comm) error {
 					cfg := *base
 					cfg.Checkpoint = &CheckpointConfig{Path: path}
-					_, err := LassoCheckpointedDistributed(c, x, y, &cfg)
+					_, err := LassoGrid(c, x, y, &cfg, GridOptions{Shape: GridShape{PB: 2, PL: 1}})
 					return err
 				})
 			}) != nil
@@ -175,6 +183,70 @@ func TestCkptChaosSweepAllBoundaries(t *testing.T) {
 				if math.Float64bits(res.Beta[i]) != math.Float64bits(plain.Beta[i]) {
 					t.Fatalf("crashOp %d: resumed beta[%d] differs", crashOp, i)
 				}
+			}
+		})
+	}
+}
+
+// TestCkptChaosGridResumeOnOtherShapes: a checkpointed grid fit crashed
+// mid-selection, resumed at 2x1 and crashed again mid-estimation, then
+// resumed serially, is bit-identical to an uninterrupted serial fit —
+// whether it started at 4x1 or at 4x2 (where each round's checkpoint slots
+// carry λ blocks from two columns). The checkpoint contents after each
+// crash pin where the crash landed.
+func TestCkptChaosGridResumeOnOtherShapes(t *testing.T) {
+	x, y, _ := makeRegression(74, 90, 10, 3, 0.25)
+	base := LassoConfig{B1: 8, B2: 6, Q: 5, Seed: 31}
+	plain, err := Lasso(x, y, &base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// crashAt runs the fit on shape with rank 0 killed at op, resuming the
+	// checkpoint when one exists, and returns the surviving state's counts.
+	crashAt := func(t *testing.T, path string, shape GridShape, op int) (sel, est int) {
+		t.Helper()
+		_, statErr := os.Stat(path)
+		plan := fault.NewPlan(shape.Ranks(), fault.Event{Kind: fault.Crash, Rank: 0, Op: op})
+		err := runBounded(t, func() error {
+			return mpi.RunWithOptions(shape.Ranks(), mpi.RunOptions{Fault: plan}, func(c *mpi.Comm) error {
+				cfg := base
+				cfg.Checkpoint = &CheckpointConfig{Path: path, Resume: statErr == nil}
+				_, err := LassoGrid(c, x, y, &cfg, GridOptions{Shape: shape})
+				return err
+			})
+		})
+		if err == nil || !typedOutcome(err) {
+			t.Fatalf("crash at %s op %d: err = %v, want a typed failure", shape, op, err)
+		}
+		st, err := checkpoint.Load(path)
+		if err != nil {
+			t.Fatalf("no checkpoint after crash at %s op %d: %v", shape, op, err)
+		}
+		return st.SelectionRecorded(), st.EstimationRecorded()
+	}
+	for _, start := range []struct {
+		shape GridShape
+		op    int // rank 0's op in the second selection round
+	}{{GridShape{4, 1}, gridSetupOps + 1}, {GridShape{4, 2}, gridSetupOps + 2}} {
+		t.Run(start.shape.String(), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "fit.uoickpt")
+			if sel, est := crashAt(t, path, start.shape, start.op); sel == 0 || sel == base.B1 || est != 0 {
+				t.Fatalf("first crash not mid-selection: %d/%d selection, %d estimation cells", sel, base.B1, est)
+			}
+			// At 2x1 the 4 remaining selection cells take two rounds; op
+			// +3 is the second estimation round's exchange.
+			if sel, est := crashAt(t, path, GridShape{2, 1}, gridSetupOps+3); sel != base.B1 || est == 0 || est == base.B2 {
+				t.Fatalf("second crash not mid-estimation: %d selection, %d/%d estimation cells", sel, est, base.B2)
+			}
+			cfg := base
+			cfg.Checkpoint = &CheckpointConfig{Path: path, Resume: true}
+			res, err := Lasso(x, y, &cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertBitsEqual(t, "serial resume vs uninterrupted serial", res.Beta, plain.Beta)
+			if res.Diag.LassoFits != 0 {
+				t.Fatalf("serial resume re-ran %d selection solves", res.Diag.LassoFits)
 			}
 		})
 	}

@@ -11,44 +11,26 @@ import (
 	"uoivar/internal/resample"
 )
 
-// Grid describes the P_B × P_λ process-grid parallelism of §III: bootstrap
-// groups (P_B) times regularization groups (P_λ), with the remaining factor
-// of the world size dedicated to distributed ADMM (ADMM_cores). The paper's
-// Figure 3 sweeps 16×2, 8×4, 4×8 and 2×16 at fixed total cores; its
-// multi-node scaling runs use 1×1 (all cores in one ADMM group).
-type Grid struct {
-	PB      int // bootstrap-level parallelism (1 = none)
-	PLambda int // λ-level parallelism (1 = none)
-}
-
-func (g Grid) normalize() Grid {
-	if g.PB <= 0 {
-		g.PB = 1
-	}
-	if g.PLambda <= 0 {
-		g.PLambda = 1
-	}
-	return g
-}
-
-// Groups returns PB·PLambda.
-func (g Grid) Groups() int { return g.PB * g.PLambda }
-
 // LassoDistributed runs UoI_LASSO across the ranks of comm. Each rank holds
 // a row block (xLocal, yLocal) of the global data — typically produced by
 // distio.RandomizedDistribute, whose Tier-2 randomization is what makes
 // per-rank local resampling a faithful bootstrap of the global data.
 //
+// grid is the P_B × P_λ process-grid parallelism of §III: bootstrap groups
+// (P_B) times regularization groups (P_λ), with the remaining factor of the
+// world size dedicated to distributed ADMM (ADMM_cores); zero fields read
+// as 1. The paper's Figure 3 sweeps 16×2, 8×4, 4×8 and 2×16 at fixed total
+// cores; its multi-node scaling runs use 1×1 (all cores in one ADMM group).
 // With grid = {1,1} every (bootstrap, λ) solve is a comm-wide consensus
 // ADMM run in sequence. With larger grids the world is Split into
-// PB·PLambda ADMM groups; selection work is sharded as bootstraps k ≡ b
-// (mod PB) and λ indices j ≡ l (mod PLambda), supports are re-combined with
+// PB·PL ADMM groups; selection work is sharded as bootstraps k ≡ b
+// (mod PB) and λ indices j ≡ l (mod PL), supports are re-combined with
 // a single world Allreduce(Min) over indicator vectors (the intersection of
 // eq. 3), and estimation bootstraps are sharded across all groups with the
 // final union/average combined by a world Allreduce(Sum).
 //
 // Every rank returns the identical Result.
-func LassoDistributed(comm *mpi.Comm, xLocal *mat.Dense, yLocal []float64, cfg *LassoConfig, grid Grid) (*Result, error) {
+func LassoDistributed(comm *mpi.Comm, xLocal *mat.Dense, yLocal []float64, cfg *LassoConfig, grid GridShape) (*Result, error) {
 	return LassoDistributedPhases(comm, xLocal, yLocal, xLocal, yLocal, cfg, grid)
 }
 
@@ -61,7 +43,7 @@ func LassoDistributed(comm *mpi.Comm, xLocal *mat.Dense, yLocal []float64, cfg *
 //	selBlock, _ := distio.RandomizedDistribute(comm, path, seed)
 //	estBlock, _ := distio.Reshuffle(comm, selBlock, seed+1)
 //	res, _ := uoi.LassoDistributedPhases(comm, xSel, ySel, xEst, yEst, cfg, grid)
-func LassoDistributedPhases(comm *mpi.Comm, xSel *mat.Dense, ySel []float64, xEst *mat.Dense, yEst []float64, cfg *LassoConfig, grid Grid) (*Result, error) {
+func LassoDistributedPhases(comm *mpi.Comm, xSel *mat.Dense, ySel []float64, xEst *mat.Dense, yEst []float64, cfg *LassoConfig, grid GridShape) (*Result, error) {
 	c := cfg.defaults()
 	if c.Standardize {
 		// Global moments agreed by Allreduce; both phases share the scaler
@@ -84,14 +66,14 @@ func LassoDistributedPhases(comm *mpi.Comm, xSel *mat.Dense, ySel []float64, xEs
 	}
 	grid = grid.normalize()
 	size := comm.Size()
-	groups := grid.Groups()
+	groups := grid.Ranks()
 	if size%groups != 0 {
-		return nil, fmt.Errorf("uoi: world size %d not divisible by grid %dx%d", size, grid.PB, grid.PLambda)
+		return nil, fmt.Errorf("uoi: world size %d not divisible by grid %s", size, grid)
 	}
 	admmCores := size / groups
 	g := comm.Rank() / admmCores
-	b := g / grid.PLambda
-	l := g % grid.PLambda
+	b := g / grid.PL
+	l := g % grid.PL
 	sub := comm
 	if groups > 1 {
 		sub = comm.Split(g, comm.Rank())
@@ -99,7 +81,7 @@ func LassoDistributedPhases(comm *mpi.Comm, xSel *mat.Dense, ySel []float64, xEs
 	// Degraded quorum mode (MinBootstrapFrac > 0): a failed bootstrap is
 	// dropped by agreement among the ranks that process it, instead of
 	// failing the whole fit. Selection bootstrap k is processed by every
-	// rank of bootstrap row b = k mod PB (PLambda·admmCores ranks), so the
+	// rank of bootstrap row b = k mod PB (PL·admmCores ranks), so the
 	// per-bootstrap agreement domain is the row communicator; estimation
 	// bootstrap k is owned by a single ADMM group, so its domain is sub.
 	quorum := c.MinBootstrapFrac > 0
@@ -203,7 +185,7 @@ func LassoDistributedPhases(comm *mpi.Comm, xSel *mat.Dense, ySel []float64, xEs
 		okB1[k] = 1
 		var warmZ, warmU []float64
 		for j, lam := range lambdas {
-			if j%grid.PLambda != l {
+			if j%grid.PL != l {
 				continue
 			}
 			opts := c.ADMM

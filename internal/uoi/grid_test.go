@@ -3,6 +3,9 @@ package uoi
 import (
 	"errors"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -216,7 +219,9 @@ func TestGridShapeValidation(t *testing.T) {
 	if _, err := ParseGridShape("4x2"); err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []string{"", "4", "0x2", "x", "-1x3"} {
+	for _, bad := range []string{"", "4", "0x2", "x", "-1x3",
+		"2x2x2", "4x2junk", " 4x2", "4x 2", "+4x2", "4x-2", "4X2",
+		"3037000500x3037000500", "99999999999999999999x1"} {
 		if _, err := ParseGridShape(bad); err == nil {
 			t.Fatalf("ParseGridShape(%q) accepted", bad)
 		}
@@ -271,15 +276,28 @@ func TestGridRankKillTypedError(t *testing.T) {
 	}
 }
 
-// VARGrid rejects the configurations whose semantics a grid cannot honor.
+// VARGrid rejects the cell cache (its keys assume whole-path cells) and
+// accepts a checkpoint: a checkpointed 1x2 grid fit is bit-identical to the
+// serial fit.
 func TestVARGridRejectsUnsupportedConfig(t *testing.T) {
 	_, series := makeVARData(21, 4, 1, 120)
-	err := mpi.Run(2, func(c *mpi.Comm) error {
-		// WarmBeta of the correct length reverses the sweep: rejected at PL>1.
-		full := make([]float64, (4*1+1)*4)
-		cfg := &VARConfig{Order: 1, B1: 3, B2: 2, Q: 4, Seed: 5, WarmBeta: full}
-		if _, err := VARGrid(c, series, cfg, GridOptions{Shape: GridShape{1, 2}}); err == nil {
-			return errors.New("WarmBeta at PL>1 accepted")
+	base := VARConfig{Order: 1, B1: 3, B2: 2, Q: 4, Seed: 5}
+	serial, err := VAR(series, &base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "var.uoickpt")
+	err = mpi.Run(2, func(c *mpi.Comm) error {
+		ck := base
+		ck.Checkpoint = &CheckpointConfig{Path: path}
+		res, err := VARGrid(c, series, &ck, GridOptions{Shape: GridShape{1, 2}})
+		if err != nil {
+			return fmt.Errorf("checkpointed VARGrid: %w", err)
+		}
+		for i := range res.Beta {
+			if math.Float64bits(res.Beta[i]) != math.Float64bits(serial.Beta[i]) {
+				return fmt.Errorf("rank %d: checkpointed grid beta[%d] differs from serial", c.Rank(), i)
+			}
 		}
 		cfg2 := &VARConfig{Order: 1, B1: 3, B2: 2, Q: 4, Seed: 5, Cells: NewMapCellCache()}
 		if _, err := VARGrid(c, series, cfg2, GridOptions{Shape: GridShape{2, 1}}); err == nil {
@@ -290,4 +308,30 @@ func TestVARGridRejectsUnsupportedConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("checkpointed grid fit wrote no checkpoint: %v", err)
+	}
+}
+
+// FuzzParseGridShape: ParseGridShape never panics, and whatever it accepts
+// is a usable shape — PB, PL ≥ 1 with a positive rank count — whose String
+// form parses back to the same shape.
+func FuzzParseGridShape(f *testing.F) {
+	for _, seed := range []string{"4x2", "1x1", "1x8", "2x2x2", "4x2junk", "0x2", "-1x3",
+		"3037000500x3037000500", "9223372036854775807x1", "x", "", "007x3"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		g, err := ParseGridShape(s)
+		if err != nil {
+			return
+		}
+		if g.PB < 1 || g.PL < 1 || g.Ranks() <= 0 {
+			t.Fatalf("ParseGridShape(%q) = %+v (ranks %d) accepted", s, g, g.Ranks())
+		}
+		back, err := ParseGridShape(g.String())
+		if err != nil || back != g {
+			t.Fatalf("ParseGridShape(%q).String() = %q does not round-trip: %+v, %v", s, g.String(), back, err)
+		}
+	})
 }

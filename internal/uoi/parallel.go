@@ -1,9 +1,6 @@
 package uoi
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // forEachBootstrap runs fn(k) for k in [0, n) across at most `workers`
 // goroutines (1 = sequential). Bootstraps are embarrassingly parallel — the
@@ -53,52 +50,4 @@ func forEachBootstrap(workers, n int, fn func(k int) error) error {
 	}
 	wg.Wait()
 	return firstErr
-}
-
-// forEachBootstrapCollect runs fn(k) for every k in [0, n) across at most
-// `workers` goroutines and returns the per-bootstrap errors (nil entries
-// for successes). Unlike forEachBootstrap it never stops early: degraded
-// quorum mode needs to know exactly which bootstraps completed, so every k
-// is attempted even after failures.
-func forEachBootstrapCollect(workers, n int, fn func(k int) error) []error {
-	errs := make([]error, n)
-	if workers <= 1 || n <= 1 {
-		for k := 0; k < n; k++ {
-			errs[k] = fn(k)
-		}
-		return errs
-	}
-	if workers > n {
-		workers = n
-	}
-	var (
-		wg   sync.WaitGroup
-		next atomic.Int64
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= n {
-					return
-				}
-				errs[k] = fn(k)
-			}
-		}()
-	}
-	wg.Wait()
-	return errs
-}
-
-// compactErrs drops the nil entries of a per-bootstrap error slice.
-func compactErrs(errs []error) []error {
-	var out []error
-	for _, e := range errs {
-		if e != nil {
-			out = append(out, e)
-		}
-	}
-	return out
 }

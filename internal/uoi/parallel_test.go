@@ -44,31 +44,3 @@ func TestForEachBootstrapSequentialStopsAtError(t *testing.T) {
 		t.Fatalf("err = %v after %d calls, want boom after 4", err, calls)
 	}
 }
-
-func TestForEachBootstrapCollectRunsEverything(t *testing.T) {
-	boom := errors.New("boom")
-	for _, workers := range []int{1, 4} {
-		var calls atomic.Int64
-		errs := forEachBootstrapCollect(workers, 20, func(k int) error {
-			calls.Add(1)
-			if k%5 == 2 {
-				return boom
-			}
-			return nil
-		})
-		if calls.Load() != 20 {
-			t.Fatalf("workers=%d: %d calls, want 20 (collect must not stop early)", workers, calls.Load())
-		}
-		for k, err := range errs {
-			if k%5 == 2 && !errors.Is(err, boom) {
-				t.Fatalf("workers=%d: errs[%d] = %v, want boom", workers, k, err)
-			}
-			if k%5 != 2 && err != nil {
-				t.Fatalf("workers=%d: errs[%d] = %v, want nil", workers, k, err)
-			}
-		}
-		if got := len(compactErrs(errs)); got != 4 {
-			t.Fatalf("workers=%d: %d failures, want 4", workers, got)
-		}
-	}
-}

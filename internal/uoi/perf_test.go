@@ -166,7 +166,7 @@ func TestDistributedPerfReport(t *testing.T) {
 		xl := denseFromRows(xs[c.Rank()], x.Cols)
 		start := time.Now()
 		_, err := LassoDistributed(c, xl, ys[c.Rank()],
-			&LassoConfig{B1: 8, B2: 4, Q: 8, Seed: 13, Trace: tr}, Grid{})
+			&LassoConfig{B1: 8, B2: 4, Q: 8, Seed: 13, Trace: tr}, GridShape{})
 		walls[c.Rank()] = time.Since(start).Seconds()
 		if err != nil {
 			return err
@@ -232,7 +232,7 @@ func TestDistributedKernelWorkerBudget(t *testing.T) {
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
 		xl := denseFromRows(xs[c.Rank()], x.Cols)
 		_, err := LassoDistributed(c, xl, ys[c.Rank()],
-			&LassoConfig{B1: 4, B2: 3, Q: 5, Seed: 23, KernelWorkers: budget}, Grid{})
+			&LassoConfig{B1: 4, B2: 3, Q: 5, Seed: 23, KernelWorkers: budget}, GridShape{})
 		return err
 	})
 	if err != nil {

@@ -46,7 +46,7 @@ func TestTimelineReplayDeterministic(t *testing.T) {
 					B1: 4, B2: 3, Q: 4, Seed: 9,
 					MinBootstrapFrac: 0.5, BootstrapFault: plan.BootstrapFault,
 					Trace: tr,
-				}, Grid{2, 1})
+				}, GridShape{2, 1})
 				return err
 			})
 		})
@@ -158,7 +158,7 @@ func TestCommMatrixConservationLasso(t *testing.T) {
 			return err
 		}
 		xl, yl := block.XY()
-		_, err = LassoDistributed(c, xl, yl, &LassoConfig{B1: 4, B2: 3, Q: 4, Seed: 9}, Grid{2, 2})
+		_, err = LassoDistributed(c, xl, yl, &LassoConfig{B1: 4, B2: 3, Q: 4, Seed: 9}, GridShape{2, 2})
 		if err != nil {
 			return err
 		}

@@ -20,11 +20,12 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"uoivar/internal/admm"
+	"uoivar/internal/checkpoint"
 	"uoivar/internal/mat"
+	"uoivar/internal/mpi"
 	"uoivar/internal/preprocess"
 	"uoivar/internal/resample"
 	"uoivar/internal/trace"
@@ -265,9 +266,9 @@ func median64(xs []float64) float64 {
 type Diagnostics struct {
 	SelectionTime  time.Duration // wall time of the selection phase
 	EstimationTime time.Duration // wall time of the estimation phase
-	LassoFits      int // LASSO solves in selection
-	OLSFits        int // OLS solves in estimation
-	ADMMIters      int // total ADMM iterations across all solves
+	LassoFits      int           // LASSO solves in selection
+	OLSFits        int           // OLS solves in estimation
+	ADMMIters      int           // total ADMM iterations across all solves
 }
 
 // Result is a fitted UoI model.
@@ -290,15 +291,32 @@ type Result struct {
 	Diag Diagnostics
 }
 
-// Lasso runs serial UoI_LASSO on design x and response y.
+// Lasso runs serial UoI_LASSO on design x and response y: the cell
+// scheduler on the Workers goroutine pool, checkpointed when
+// cfg.Checkpoint is set.
 func Lasso(x *mat.Dense, y []float64, cfg *LassoConfig) (*Result, error) {
+	return lassoFit(nil, x, y, cfg, GridOptions{})
+}
+
+// LassoGrid runs UoI_LASSO over a PB × PL process grid with
+// communication-avoiding collectives (see sched.go). Every rank passes the
+// identical (replicated) design and response and returns the identical
+// Result, bit-for-bit equal to the serial Lasso at any grid shape.
+// Selection cells shard over the grid (bootstraps over rows, λ blocks over
+// columns, warm starts pipelined across columns); estimation bootstraps
+// shard over all PB·PL ranks. With cfg.Checkpoint set, rank 0 checkpoints
+// every completed cell and a resumed fit may run on any grid shape.
+func LassoGrid(comm *mpi.Comm, x *mat.Dense, y []float64, cfg *LassoConfig, opt GridOptions) (*Result, error) {
+	if err := checkGrid(comm, opt.Shape); err != nil {
+		return nil, err
+	}
+	return lassoFit(comm, x, y, cfg, opt)
+}
+
+// lassoFit supplies UoI_LASSO's cell bodies to the scheduler: serial when
+// comm is nil, else on the opt.Shape grid.
+func lassoFit(comm *mpi.Comm, x *mat.Dense, y []float64, cfg *LassoConfig, opt GridOptions) (*Result, error) {
 	c := cfg.defaults()
-	if c.Checkpoint != nil {
-		return lassoCheckpointed(nil, x, y, &c)
-	}
-	if c.Standardize {
-		return lassoStandardized(x, y, &c)
-	}
 	n, p := x.Rows, x.Cols
 	if n != len(y) {
 		return nil, fmt.Errorf("uoi: %d rows but %d responses", n, len(y))
@@ -306,8 +324,15 @@ func Lasso(x *mat.Dense, y []float64, cfg *LassoConfig) (*Result, error) {
 	if n < 4 {
 		return nil, fmt.Errorf("uoi: need at least 4 samples, have %d", n)
 	}
+	var scaler *preprocess.Scaler
+	if c.Standardize {
+		// Fit in standardized space and map back. Data is replicated, so
+		// every rank fits the identical scaler with no communication.
+		scaler = preprocess.FitXY(x, y)
+		x, y = scaler.Transform(x), scaler.TransformY(y)
+	}
 	tr := c.Trace
-	kw := kernelBudget(c.KernelWorkers, c.Workers)
+	kw := kernelBudget(c.KernelWorkers, streams(comm, c.Workers))
 	tr.SetMax("mat/kernel_workers", int64(kw))
 	spGrid := tr.Start("lambda_grid")
 	lambdas := c.Lambdas
@@ -316,120 +341,41 @@ func Lasso(x *mat.Dense, y []float64, cfg *LassoConfig) (*Result, error) {
 	}
 	spGrid.End()
 	root := resample.NewRNG(c.Seed)
-	res := &Result{Lambdas: lambdas}
-
-	// ---- Model selection (Algorithm 1 lines 2–11) ----
-	tSel := time.Now()
-	spSel := tr.Start("selection")
-	// counts[j][i] tallies the bootstraps whose support at λ_j contains
-	// feature i; the (possibly softened) intersection keeps features
-	// reaching the selection threshold.
-	counts := make([][]int, len(lambdas))
-	for j := range counts {
-		counts[j] = make([]int, p)
+	out, err := runCells(comm, opt, &fitSpec{
+		b1: c.B1, b2: c.B2, width: p, subs: 1, lambdas: lambdas,
+		selFrac: c.SelectionFrac, minFrac: c.MinBootstrapFrac, median: c.MedianUnion,
+		fault: c.BootstrapFault, workers: c.Workers, tr: tr, ckpt: c.Checkpoint,
+		meta: func() checkpoint.Meta {
+			return checkpoint.Meta{Kind: checkpoint.KindLasso, Seed: c.Seed, B1: c.B1, B2: c.B2,
+				P: p, Q: len(lambdas), Fingerprint: lassoFingerprint(x, y, &c)}
+		},
+		sel: func(k, jLo, jHi int, pipe *lamPipe, _ trace.Span) ([]bool, cellWork, error) {
+			sup, fits, iters, err := lassoSelCell(x, y, root, k, lambdas, jLo, jHi, pipe, &c, kw, tr)
+			return sup, cellWork{lassoFits: fits, iters: iters}, err
+		},
+		est: func(k int, distinct [][]int, _ trace.Span) ([]float64, cellWork) {
+			beta, fits := lassoEstCell(x, y, root, k, distinct, &c, kw)
+			return beta, cellWork{olsFits: fits}
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
-	var selMu sync.Mutex
-	selFn := func(k int) error {
-		if c.BootstrapFault != nil {
-			if err := c.BootstrapFault("selection", k); err != nil {
-				return fmt.Errorf("uoi: selection bootstrap %d: %w", k, err)
-			}
-		}
-		spBoot := spSel.Child("bootstrap")
-		defer spBoot.End()
-		sup, fits, iters, err := lassoSelCell(x, y, root, k, lambdas, &c, kw, tr)
-		if err != nil {
-			return err
-		}
-		selMu.Lock()
-		res.Diag.LassoFits += fits
-		res.Diag.ADMMIters += iters
-		addSupportCounts(counts, sup, p)
-		selMu.Unlock()
-		return nil
+	res := &Result{Beta: out.beta, Lambdas: lambdas, Supports: out.supports, Bootstrap: out.boot, Diag: out.diag}
+	if scaler != nil {
+		res.Beta, res.Intercept = scaler.InverseBeta(res.Beta)
 	}
-	b1Done := c.B1
-	if c.MinBootstrapFrac > 0 {
-		failed := compactErrs(forEachBootstrapCollect(c.Workers, c.B1, selFn))
-		b1Done = c.B1 - len(failed)
-		res.Bootstrap.B1Completed, res.Bootstrap.B1Failed = b1Done, len(failed)
-		if need := quorumCount(c.MinBootstrapFrac, c.B1); b1Done < need {
-			head := fmt.Errorf("%w: selection completed %d/%d, need %d", ErrQuorum, b1Done, c.B1, need)
-			return nil, errors.Join(append([]error{head}, failed...)...)
-		}
-	} else {
-		if err := forEachBootstrap(c.Workers, c.B1, selFn); err != nil {
-			return nil, err
-		}
-		res.Bootstrap.B1Completed = c.B1
-	}
-	spSel.End()
-	// In degraded mode the intersection threshold is relative to the
-	// bootstraps that actually completed.
-	spInt := tr.Start("intersection")
-	threshold := selectionThreshold(c.SelectionFrac, b1Done)
-	supports := make([][]int, len(lambdas))
-	for j := range supports {
-		for i, ct := range counts[j] {
-			if ct >= threshold {
-				supports[j] = append(supports[j], i)
-			}
-		}
-	}
-	res.Supports = supports
-	res.Diag.SelectionTime = time.Since(tSel)
-
-	// ---- Model estimation (Algorithm 1 lines 12–24) ----
-	tEst := time.Now()
-	distinct := dedupeSupports(supports)
-	spInt.End()
-	spEst := tr.Start("estimation")
-	winners := make([][]float64, c.B2)
-	var estMu sync.Mutex
-	estFn := func(k int) error {
-		if c.BootstrapFault != nil {
-			if err := c.BootstrapFault("estimation", k); err != nil {
-				return fmt.Errorf("uoi: estimation bootstrap %d: %w", k, err)
-			}
-		}
-		spBoot := spEst.Child("bootstrap")
-		defer spBoot.End()
-		beta, fits := lassoEstCell(x, y, root, k, distinct, &c, kw)
-		estMu.Lock()
-		res.Diag.OLSFits += fits
-		estMu.Unlock()
-		winners[k] = beta
-		return nil
-	}
-	if c.MinBootstrapFrac > 0 {
-		failed := compactErrs(forEachBootstrapCollect(c.Workers, c.B2, estFn))
-		b2Done := c.B2 - len(failed)
-		res.Bootstrap.B2Completed, res.Bootstrap.B2Failed = b2Done, len(failed)
-		if need := quorumCount(c.MinBootstrapFrac, c.B2); b2Done < need {
-			head := fmt.Errorf("%w: estimation completed %d/%d, need %d", ErrQuorum, b2Done, c.B2, need)
-			return nil, errors.Join(append([]error{head}, failed...)...)
-		}
-	} else {
-		if err := forEachBootstrap(c.Workers, c.B2, estFn); err != nil {
-			return nil, err
-		}
-		res.Bootstrap.B2Completed = c.B2
-	}
-	spEst.End()
-	// Failed bootstraps left their winners row nil; the union is over the
-	// completed rows only.
-	spUnion := tr.Start("union")
-	completed := winners[:0:0]
-	for _, w := range winners {
-		if w != nil {
-			completed = append(completed, w)
-		}
-	}
-	res.Beta = combineWinners(completed, p, c.MedianUnion)
 	res.SelectedSupport = admm.Support(res.Beta, c.SupportTol)
-	spUnion.End()
-	res.Diag.EstimationTime = time.Since(tEst)
 	return res, nil
+}
+
+// streams is the number of concurrent execution streams a fit's kernels
+// share: the grid's ranks, or the serial bootstrap workers.
+func streams(comm *mpi.Comm, workers int) int {
+	if comm != nil {
+		return comm.Size()
+	}
+	return workers
 }
 
 // selectVec gathers y[idx].
@@ -480,25 +426,6 @@ func supportKey(s []int) string {
 		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 	}
 	return string(b)
-}
-
-// lassoStandardized fits in standardized space and maps back.
-func lassoStandardized(x *mat.Dense, y []float64, c *LassoConfig) (*Result, error) {
-	if x.Rows != len(y) {
-		return nil, fmt.Errorf("uoi: %d rows but %d responses", x.Rows, len(y))
-	}
-	scaler := preprocess.FitXY(x, y)
-	inner := *c
-	inner.Standardize = false
-	res, err := Lasso(scaler.Transform(x), scaler.TransformY(y), &inner)
-	if err != nil {
-		return nil, err
-	}
-	beta, intercept := scaler.InverseBeta(res.Beta)
-	res.Beta = beta
-	res.Intercept = intercept
-	res.SelectedSupport = admm.Support(res.Beta, c.SupportTol)
-	return res, nil
 }
 
 // Predict evaluates the fitted model on new inputs: Xβ + intercept.

@@ -3,11 +3,12 @@ package uoi
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"uoivar/internal/admm"
+	"uoivar/internal/checkpoint"
 	"uoivar/internal/mat"
+	"uoivar/internal/mpi"
 	"uoivar/internal/resample"
 	"uoivar/internal/trace"
 	"uoivar/internal/varsim"
@@ -54,20 +55,12 @@ type VARConfig struct {
 	// that cover the same grid blocks then draw the same absolute rows, so
 	// their selection cells key identically in the CellCache — this is what
 	// lets a streaming refit after a small window slide reuse its cells.
-	// Like WarmBeta, (Anchored, Anchor) is part of the fit's identity: the
-	// default (false) reproduces prior releases bit for bit.
+	// (Anchored, Anchor) is part of the fit's identity: the default (false)
+	// reproduces prior releases bit for bit.
 	Anchored bool
 	// Anchor is the absolute stream offset of series row 0 (only read when
 	// Anchored is set; the streaming engine passes Buffer.Total−Buffer.Len).
 	Anchor int64
-	// WarmBeta, when its length equals the fit's betaLen (rowsB·p), seeds
-	// every selection bootstrap's λ sweep from a previous model's vec(B):
-	// the sweep runs smallest-λ-first (where the seed is close) and chains
-	// warm starts upward. It is part of the fit's identity — two fits with
-	// the same series, config, and WarmBeta produce bit-identical results,
-	// which is what lets a streaming warm refit equal a cold fit exactly.
-	// A mismatched length is ignored (cold sweep).
-	WarmBeta []float64
 	// Cells, when non-nil, memoizes completed bootstrap cells across fits
 	// keyed by the exact bytes that determine each cell's output (see
 	// CellCache). Purely an execution hint: hits skip recomputation but
@@ -80,7 +73,7 @@ type VARConfig struct {
 	Trace *trace.Tracer
 	// Checkpoint, when non-nil, runs the fit in checkpointed mode (see
 	// CheckpointConfig): completed cells are durable and a crashed fit
-	// resumes bit-identically.
+	// resumes bit-identically, serially or on any grid shape.
 	Checkpoint *CheckpointConfig
 	// ADMM tunes the inner solver, as in LassoConfig.
 	ADMM admm.Options
@@ -141,12 +134,32 @@ type VARResult struct {
 	KronTime time.Duration // total design-assembly time (see Diag comment)
 }
 
-// VAR runs serial UoI_VAR on an N×p series.
+// VAR runs serial UoI_VAR on an N×p series: the cell scheduler on the
+// Workers goroutine pool, checkpointed when cfg.Checkpoint is set.
 func VAR(series *mat.Dense, cfg *VARConfig) (*VARResult, error) {
-	c := cfg.defaults()
-	if c.Checkpoint != nil {
-		return varCheckpointed(nil, series, &c)
+	return varFit(nil, series, cfg, GridOptions{})
+}
+
+// VARGrid runs UoI_VAR over a PB × PL process grid — the VAR analogue of
+// LassoGrid, with a per-equation (z, u) pipeline handoff across columns
+// (the VAR warm-start chain is per equation). Every rank passes the
+// identical replicated series and returns the identical VARResult,
+// bit-for-bit equal to serial VAR at any grid shape. cfg.Checkpoint is
+// supported as in LassoGrid; the cell cache is not.
+func VARGrid(comm *mpi.Comm, series *mat.Dense, cfg *VARConfig, opt GridOptions) (*VARResult, error) {
+	if err := checkGrid(comm, opt.Shape); err != nil {
+		return nil, err
 	}
+	if cfg != nil && cfg.Cells != nil {
+		return nil, fmt.Errorf("uoi: VARGrid does not support the cell cache")
+	}
+	return varFit(comm, series, cfg, opt)
+}
+
+// varFit supplies UoI_VAR's cell bodies to the scheduler: serial when comm
+// is nil, else on the opt.Shape grid.
+func varFit(comm *mpi.Comm, series *mat.Dense, cfg *VARConfig, opt GridOptions) (*VARResult, error) {
+	c := cfg.defaults()
 	nTotal, p := series.Rows, series.Cols
 	d := c.Order
 	if nTotal <= d+4 {
@@ -159,7 +172,7 @@ func VAR(series *mat.Dense, cfg *VARConfig) (*VARResult, error) {
 	}
 
 	tr := c.Trace
-	kw := kernelBudget(c.KernelWorkers, c.Workers)
+	kw := kernelBudget(c.KernelWorkers, streams(comm, c.Workers))
 	tr.SetMax("mat/kernel_workers", int64(kw))
 
 	tKron := time.Now()
@@ -177,105 +190,54 @@ func VAR(series *mat.Dense, cfg *VARConfig) (*VARResult, error) {
 	}
 	spGrid.End()
 	root := resample.NewRNG(c.Seed)
-	res := &VARResult{Lambdas: lambdas}
-
-	// ---- Model selection (Algorithm 2 lines 2–13) ----
-	tSel := time.Now()
-	spSel := tr.Start("selection")
-	counts := make([][]int, len(lambdas))
-	for j := range counts {
-		counts[j] = make([]int, betaLen)
-	}
-	var selMu sync.Mutex
-	err := forEachBootstrap(c.Workers, c.B1, func(k int) error {
-		spBoot := spSel.Child("bootstrap")
-		defer spBoot.End()
+	out, err := runCells(comm, opt, &fitSpec{
+		b1: c.B1, b2: c.B2, width: betaLen, subs: p, lambdas: lambdas,
+		selFrac: c.SelectionFrac, median: c.MedianUnion,
+		workers: c.Workers, tr: tr, ckpt: c.Checkpoint,
+		meta: func() checkpoint.Meta {
+			return checkpoint.Meta{Kind: checkpoint.KindVAR, Seed: c.Seed, B1: c.B1, B2: c.B2,
+				P: betaLen, Q: len(lambdas), Order: d, Intercept: !c.NoIntercept,
+				Fingerprint: varFingerprint(series, blockLen, &c)}
+		},
 		// With a cell cache, a bootstrap whose inputs are bit-unchanged from
-		// a previous fit (same touched rows, λ grid, warm seed) is skipped
-		// outright — the streaming refit's "re-run only what changed" path.
-		var key uint64
-		if c.Cells != nil {
-			key = selCellKey(series, k, m, blockLen, lambdas, &c)
-			if sup, ok := c.Cells.GetSel(key); ok {
-				tr.Add("uoi/sel_cells_reused", 1)
-				selMu.Lock()
-				addSupportCounts(counts, sup, betaLen)
-				selMu.Unlock()
-				return nil
+		// a previous fit (same touched rows, λ grid) is skipped outright —
+		// the streaming refit's "re-run only what changed" path.
+		sel: func(k, jLo, jHi int, pipe *lamPipe, sp trace.Span) ([]bool, cellWork, error) {
+			var key uint64
+			if c.Cells != nil {
+				key = selCellKey(series, k, m, blockLen, lambdas, &c)
+				if sup, ok := c.Cells.GetSel(key); ok {
+					tr.Add("uoi/sel_cells_reused", 1)
+					return sup, cellWork{}, nil
+				}
 			}
-		}
-		sup, fits, iters, kTime, err := varSelCell(series, root, k, m, blockLen, lambdas, &c, kw, tr, spSel)
-		if err != nil {
-			return err
-		}
-		if c.Cells != nil {
-			c.Cells.PutSel(key, sup)
-		}
-		selMu.Lock()
-		kronTime += kTime
-		res.Diag.LassoFits += fits
-		res.Diag.ADMMIters += iters
-		addSupportCounts(counts, sup, betaLen)
-		selMu.Unlock()
-		return nil
+			sup, fits, iters, kron, err := varSelCell(series, root, k, m, blockLen, lambdas, jLo, jHi, pipe, &c, kw, tr, sp)
+			if err == nil && c.Cells != nil {
+				c.Cells.PutSel(key, sup)
+			}
+			return sup, cellWork{lassoFits: fits, iters: iters, kron: kron}, err
+		},
+		est: func(k int, distinct [][]int, sp trace.Span) ([]float64, cellWork) {
+			var key uint64
+			if c.Cells != nil {
+				key = estCellKey(series, k, m, blockLen, distinct, &c)
+				if beta, ok := c.Cells.GetEst(key); ok {
+					tr.Add("uoi/est_cells_reused", 1)
+					return beta, cellWork{}
+				}
+			}
+			beta, fits, kron := varEstCell(series, root, k, m, blockLen, betaLen, distinct, &c, kw, sp)
+			if c.Cells != nil {
+				c.Cells.PutEst(key, beta)
+			}
+			return beta, cellWork{olsFits: fits, kron: kron}
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	spSel.End()
-	spInt := tr.Start("intersection")
-	threshold := selectionThreshold(c.SelectionFrac, c.B1)
-	supports := make([][]int, len(lambdas))
-	for j := range supports {
-		for i, ct := range counts[j] {
-			if ct >= threshold {
-				supports[j] = append(supports[j], i)
-			}
-		}
-	}
-	res.Supports = supports
-	res.Diag.SelectionTime = time.Since(tSel)
-
-	// ---- Model estimation (Algorithm 2 lines 15–30) ----
-	tEst := time.Now()
-	distinct := dedupeSupports(supports)
-	spInt.End()
-	spEst := tr.Start("estimation")
-	winners := make([][]float64, c.B2)
-	var estMu sync.Mutex
-	err = forEachBootstrap(c.Workers, c.B2, func(k int) error {
-		spBoot := spEst.Child("bootstrap")
-		defer spBoot.End()
-		var key uint64
-		if c.Cells != nil {
-			key = estCellKey(series, k, m, blockLen, distinct, &c)
-			if beta, ok := c.Cells.GetEst(key); ok {
-				tr.Add("uoi/est_cells_reused", 1)
-				winners[k] = beta
-				return nil
-			}
-		}
-		beta, fits, kTime := varEstCell(series, root, k, m, blockLen, betaLen, distinct, &c, kw, spEst)
-		if c.Cells != nil {
-			c.Cells.PutEst(key, beta)
-		}
-		estMu.Lock()
-		kronTime += kTime
-		res.Diag.OLSFits += fits
-		estMu.Unlock()
-		winners[k] = beta
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	spEst.End()
-	spUnion := tr.Start("union")
-	res.Beta = combineWinners(winners, betaLen, c.MedianUnion)
+	res := &VARResult{Beta: out.beta, Lambdas: lambdas, Supports: out.supports, Diag: out.diag, KronTime: kronTime + out.kron}
 	res.A, res.Mu = full.PartitionBeta(res.Beta)
-	spUnion.End()
-	res.Diag.EstimationTime = time.Since(tEst)
-	res.KronTime = kronTime
 	return res, nil
 }
 

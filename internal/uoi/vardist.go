@@ -28,8 +28,9 @@ type VARDistOptions struct {
 	CommAvoiding bool
 	// Grid enables the P_B × P_λ process-grid parallelism of Fig. 8:
 	// bootstraps shard across P_B group rows and λ values across P_λ group
-	// columns; supports recombine with a world Allreduce.
-	Grid Grid
+	// columns; supports recombine with a world Allreduce. Zero fields read
+	// as 1.
+	Grid GridShape
 }
 
 // VARDistributed runs UoI_VAR across the ranks of comm, exercising the full
@@ -46,21 +47,21 @@ func VARDistributed(comm *mpi.Comm, series *mat.Dense, cfg *VARConfig, dopts *VA
 	size := comm.Size()
 	nReaders := 0
 	commAvoiding := false
-	var grid Grid
+	var grid GridShape
 	if dopts != nil {
 		nReaders = dopts.NReaders
 		commAvoiding = dopts.CommAvoiding
 		grid = dopts.Grid
 	}
 	grid = grid.normalize()
-	groups := grid.Groups()
+	groups := grid.Ranks()
 	if size%groups != 0 {
-		return nil, fmt.Errorf("uoi: world size %d not divisible by grid %dx%d", size, grid.PB, grid.PLambda)
+		return nil, fmt.Errorf("uoi: world size %d not divisible by grid %s", size, grid)
 	}
 	groupSize := size / groups
 	g := comm.Rank() / groupSize
-	bSlot := g / grid.PLambda
-	lSlot := g % grid.PLambda
+	bSlot := g / grid.PL
+	lSlot := g % grid.PL
 	sub := comm
 	if groups > 1 {
 		sub = comm.Split(g, comm.Rank())
@@ -202,7 +203,7 @@ func VARDistributed(comm *mpi.Comm, series *mat.Dense, cfg *VARConfig, dopts *VA
 		}
 		var warmZ, warmU []float64
 		for j, lam := range lambdas {
-			if j%grid.PLambda != lSlot {
+			if j%grid.PL != lSlot {
 				continue
 			}
 			opts := c.ADMM

@@ -146,11 +146,11 @@ func TestVARDistributedValidation(t *testing.T) {
 func TestVARDistributedGrid(t *testing.T) {
 	model, series := makeVARData(55, 5, 1, 400)
 	cfg := &VARConfig{Order: 1, B1: 8, B2: 4, Q: 8, LambdaRatio: 1e-2, Seed: 13}
-	run := func(grid Grid, ranks, readers int) *VARResult {
+	run := func(grid GridShape, ranks, readers int) *VARResult {
 		t.Helper()
 		var out *VARResult
 		err := mpi.Run(ranks, func(c *mpi.Comm) error {
-			groupSize := ranks / grid.normalize().Groups()
+			groupSize := ranks / grid.normalize().Ranks()
 			var s *mat.Dense
 			// Leading `readers` ranks of every group hold the series.
 			if c.Rank()%groupSize < readers {
@@ -170,9 +170,9 @@ func TestVARDistributedGrid(t *testing.T) {
 		}
 		return out
 	}
-	flat := run(Grid{}, 4, 2)
-	grid22 := run(Grid{PB: 2, PLambda: 2}, 4, 1)
-	grid21 := run(Grid{PB: 2, PLambda: 1}, 4, 2)
+	flat := run(GridShape{}, 4, 2)
+	grid22 := run(GridShape{PB: 2, PL: 2}, 4, 1)
+	grid21 := run(GridShape{PB: 2, PL: 1}, 4, 2)
 
 	trueBeta := varsim.FlattenModel(model.A, model.Mu, true)
 	for name, r := range map[string]*VARResult{"1x1": flat, "2x2": grid22, "2x1": grid21} {
@@ -198,7 +198,7 @@ func TestVARDistributedGrid(t *testing.T) {
 func TestVARDistributedGridValidation(t *testing.T) {
 	_, series := makeVARData(56, 4, 1, 120)
 	err := mpi.Run(3, func(c *mpi.Comm) error {
-		_, err := VARDistributed(c, series, &VARConfig{B1: 2, B2: 2, Q: 3}, &VARDistOptions{Grid: Grid{PB: 2, PLambda: 1}})
+		_, err := VARDistributed(c, series, &VARConfig{B1: 2, B2: 2, Q: 3}, &VARDistOptions{Grid: GridShape{PB: 2, PL: 1}})
 		if err == nil {
 			return fmt.Errorf("indivisible grid must fail")
 		}

@@ -5,7 +5,8 @@
 #   1. the fitted models are byte-for-byte identical across shapes and
 #      collective modes (the bit-identity invariant), and
 #   2. each fit's PerfReport parses through trace.ParsePerfReport and
-#      carries per-communicator ("collective[row]"/"[col]") attribution.
+#      carries per-communicator ("collective[row]"/"[col]") attribution, and
+#   3. a checkpoint written by a 4x2 fit resumes at 2x1 to the same model.
 # Exits nonzero if any step fails or any artifact differs.
 set -euo pipefail
 
@@ -49,5 +50,18 @@ echo "== perf reports parse and carry grid comm attribution =="
 "$GO" run ./scripts/perfcheck -ranks 8 -require-comm 'collective[row]' "$WORK/grid1x8.perf.json"
 # flat baseline: world-wide collectives, labeled by the world handle.
 "$GO" run ./scripts/perfcheck -ranks 8 -require-comm 'collective[world]' "$WORK/flat4x2.perf.json"
+
+echo "== checkpoint at 4x2, resume at 2x1: same model as the plain 4x2 fit =="
+ckfit() { # ckfit <tag> <grid> [extra flags]
+  local tag=$1 grid=$2
+  shift 2
+  "$GO" run ./cmd/uoifit -algo lasso -data "$WORK/data.hbf" \
+    -grid "$grid" -b1 8 -b2 4 -q 6 -seed 3 -checkpoint "$WORK/fit.uoickpt" "$@" \
+    -model-out "$WORK/$tag.uoim" > "$WORK/$tag.out"
+}
+ckfit ckpt4x2 4x2
+ckfit resume2x1 2x1 -resume
+cmp "$WORK/grid4x2.uoim" "$WORK/ckpt4x2.uoim"
+cmp "$WORK/grid4x2.uoim" "$WORK/resume2x1.uoim"
 
 echo "grid smoke passed"

@@ -21,7 +21,7 @@
 //	    block, err := uoivar.RandomizedDistribute(c, "data.hbf", seed)
 //	    if err != nil { return err }
 //	    x, y := block.XY()
-//	    res, err := uoivar.FitLassoDistributed(c, x, y, cfg, uoivar.Grid{})
+//	    res, err := uoivar.FitLassoDistributed(c, x, y, cfg, uoivar.GridShape{})
 //	    ...
 //	})
 //
@@ -85,12 +85,10 @@ type VARResult = uoi.VARResult
 // communication-avoiding assembly, process grids).
 type VARDistOptions = uoi.VARDistOptions
 
-// Grid is the P_B × P_λ process grid of the paper's §III parallelism.
-type Grid = uoi.Grid
-
-// GridShape is a 2-D P_B × P_λ execution-grid layout for the
-// communication-avoiding engine (DESIGN.md §16): PB grid rows shard
-// bootstraps, PL grid columns shard the λ path.
+// GridShape is a 2-D P_B × P_λ process-grid layout (the paper's §III
+// parallelism): PB grid rows shard bootstraps, PL grid columns shard the λ
+// path. FitLassoGrid/FitVARGrid run the cell scheduler on it (DESIGN.md
+// §16); FitLassoDistributed and VARDistOptions.Grid read a zero field as 1.
 type GridShape = uoi.GridShape
 
 // ParseGridShape parses an "RxC" layout spec (e.g. "4x2").
@@ -111,13 +109,14 @@ func FitLasso(x *Dense, y []float64, cfg *LassoConfig) (*LassoResult, error) {
 
 // FitLassoDistributed runs UoI_LASSO across the ranks of comm; each rank
 // passes its local row block (see RandomizedDistribute).
-func FitLassoDistributed(comm *Comm, xLocal *Dense, yLocal []float64, cfg *LassoConfig, grid Grid) (*LassoResult, error) {
+func FitLassoDistributed(comm *Comm, xLocal *Dense, yLocal []float64, cfg *LassoConfig, grid GridShape) (*LassoResult, error) {
 	return uoi.LassoDistributed(comm, xLocal, yLocal, cfg, grid)
 }
 
 // FitLassoGrid runs UoI_LASSO on a 2-D bootstrap × λ execution grid
 // (comm.Size() must equal opt.Shape.Ranks(); every rank passes the full
-// dataset). Any grid shape reproduces the serial fit bit-for-bit.
+// dataset). Any grid shape reproduces the serial fit bit-for-bit; set
+// cfg.Checkpoint for a checkpointed distributed fit.
 func FitLassoGrid(comm *Comm, x *Dense, y []float64, cfg *LassoConfig, opt GridOptions) (*LassoResult, error) {
 	return uoi.LassoGrid(comm, x, y, cfg, opt)
 }
@@ -354,8 +353,9 @@ func NewPredictor(art *ModelArtifact) (*Predictor, error) { return model.NewPred
 
 // CheckpointConfig enables checkpointed execution of a UoI fit: completed
 // bootstrap cells are durable in a versioned on-disk file, and a crashed
-// fit resumes bit-identically — including on a different rank count. Set it
-// on LassoConfig/VARConfig.Checkpoint.
+// fit resumes bit-identically — including on a different grid shape or rank
+// count. Set it on LassoConfig/VARConfig.Checkpoint and call FitLasso/FitVAR
+// (serial) or FitLassoGrid/FitVARGrid (distributed).
 type CheckpointConfig = uoi.CheckpointConfig
 
 // Checkpoint error taxonomy: damaged files are ErrCheckpointCorrupt, files
@@ -370,20 +370,6 @@ var (
 	// ErrCheckpointMismatch reports a checkpoint from a different fit.
 	ErrCheckpointMismatch = checkpoint.ErrMismatch
 )
-
-// FitLassoCheckpointed runs checkpointed UoI_LASSO across the ranks of
-// comm. Unlike FitLassoDistributed, every rank passes the FULL dataset
-// (replicated-data bootstrap-sharded mode); cfg.Checkpoint must be set.
-func FitLassoCheckpointed(comm *Comm, x *Dense, y []float64, cfg *LassoConfig) (*LassoResult, error) {
-	return uoi.LassoCheckpointedDistributed(comm, x, y, cfg)
-}
-
-// FitVARCheckpointed runs checkpointed UoI_VAR across the ranks of comm;
-// every rank passes the full series and cfg.Checkpoint must be set. For a
-// serial checkpointed fit, set VARConfig.Checkpoint and call FitVAR.
-func FitVARCheckpointed(comm *Comm, series *Dense, cfg *VARConfig) (*VARResult, error) {
-	return uoi.VARCheckpointedDistributed(comm, series, cfg)
-}
 
 // ---- Performance observability (DESIGN.md §8) ----
 
